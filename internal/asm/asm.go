@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/ir"
 )
@@ -121,7 +122,10 @@ func Opcodes() []string {
 // validated before being returned.
 func Parse(r io.Reader) (*ir.Program, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// No preallocated buffer: the scanner grows its own from 4 KiB as
+	// lines demand, so a parse allocates in proportion to its input, while
+	// the 1 MiB cap still rejects a longer line with bufio.ErrTooLong.
+	sc.Buffer(nil, 1<<20)
 
 	var prog *ir.Program
 	var blk *ir.Block
@@ -140,7 +144,7 @@ func Parse(r io.Reader) (*ir.Program, error) {
 			pr.op.Args[pr.argIdx] = ir.Operand{Kind: ir.FromOp, X: target}
 		}
 		pend = pend[:0]
-		byID = map[int]*ir.Op{}
+		clear(byID)
 		return nil
 	}
 
@@ -155,9 +159,13 @@ func Parse(r io.Reader) (*ir.Program, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		keyword := line
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			keyword = line[:i]
+		}
+		switch keyword {
 		case "program":
+			fields := strings.Fields(line)
 			if prog != nil {
 				return nil, errf(lineNo, "duplicate program header")
 			}
@@ -173,7 +181,7 @@ func Parse(r io.Reader) (*ir.Program, error) {
 			if err := finishBlock(); err != nil {
 				return nil, err
 			}
-			name, weight, succs, err := parseBlockHeader(lineNo, fields)
+			name, weight, succs, err := parseBlockHeader(lineNo, strings.Fields(line))
 			if err != nil {
 				return nil, err
 			}
@@ -249,16 +257,24 @@ func parseOp(line int, text string, blk *ir.Block, byID map[int]*ir.Op, pending 
 		destReg = r
 	}
 
-	fields := strings.SplitN(rest, " ", 2)
-	code, ok := opcodeByName[fields[0]]
+	mnemonic, operands, _ := strings.Cut(rest, " ")
+	code, ok := opcodeByName[mnemonic]
 	if !ok {
-		return errf(line, "unknown opcode %q", fields[0])
+		return errf(line, "unknown opcode %q", mnemonic)
 	}
 
-	var args []string
-	if len(fields) > 1 && strings.TrimSpace(fields[1]) != "" {
-		for _, a := range strings.Split(fields[1], ",") {
+	// No opcode takes more than three operands, so the operand list
+	// normally stays in this stack buffer instead of a per-op allocation.
+	var argBuf [4]string
+	args := argBuf[:0]
+	if strings.TrimSpace(operands) != "" {
+		for {
+			a, more, found := strings.Cut(operands, ",")
 			args = append(args, strings.TrimSpace(a))
+			if !found {
+				break
+			}
+			operands = more
 		}
 	}
 	if ar := code.Arity(); ar >= 0 && len(args) != ar {
@@ -309,6 +325,13 @@ func parseOp(line int, text string, blk *ir.Block, byID map[int]*ir.Op, pending 
 			id, err := strconv.Atoi(body)
 			if err != nil {
 				return errf(line, "bad op reference %q", a)
+			}
+			// A backward reference resolves now; forward references and
+			// result indices wait for the block-end pass, which reports
+			// their errors.
+			if target, ok := byID[id]; ok && residx == 0 {
+				op.Args[i] = ir.Operand{Kind: ir.FromOp, X: target}
+				continue
 			}
 			pending(pendingRef{line, op, i, id, residx})
 		case strings.HasPrefix(a, "r"):

@@ -9,8 +9,9 @@
 //
 //   - Request / ParseRequest: the iscd request envelope plus an SLO class
 //     (gold | silver | bronze). Parsing and normalization never panic — the
-//     path is fuzzed — and reuse server.Resolve so router and replica can
-//     never disagree about which program a request names.
+//     path is fuzzed — and reuse server.ResolveFingerprint so router and
+//     replica can never disagree about which program a request names; its
+//     fingerprint is the routing key, computed once per hop.
 //   - Admission: token-bucket admission control per SLO class. An empty
 //     class bucket does not mean rejection: the request degrades first —
 //     its deadline shrinks (DegradeFactor) so the anytime machinery returns

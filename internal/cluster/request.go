@@ -96,7 +96,7 @@ func ParseRequest(body []byte, defaultDeadline time.Duration) (*ParsedRequest, i
 		return nil, http.StatusBadRequest, err
 	}
 	inner := req.Request.Normalized(defaultDeadline)
-	p, status, err := server.Resolve(inner)
+	p, fp, status, err := server.ResolveFingerprint(inner)
 	if err != nil {
 		return nil, status, err
 	}
@@ -107,6 +107,6 @@ func ParseRequest(body []byte, defaultDeadline time.Duration) (*ParsedRequest, i
 		Req:     inner,
 		Class:   class,
 		Program: p,
-		Key:     ir.Fingerprint(p),
+		Key:     fp,
 	}, 0, nil
 }

@@ -18,6 +18,16 @@
 // API; Shutdown drains in-flight runs. Request/Response define the wire
 // format.
 //
+// Every request first resolves its input once (ResolveFingerprint): a
+// benchmark name is served from a process-wide memo that builds,
+// validates and fingerprints each seed program once and then shares it
+// read-only; iscasm text is parsed and validated once (asm.Parse
+// validates) and fingerprinted once. The one fingerprint feeds the cache
+// key, and the cluster router reuses the same step for its routing key,
+// so each hop fingerprints a request exactly once. A cache hit therefore
+// costs the key computation and a lookup; GET /v1/benchmarks reads the
+// same memo.
+//
 // Hot-path machinery, in request order: an LRU result cache keyed by a
 // canonical content hash of (program, config) — ir.Fingerprint makes the
 // key invariant under pure-op reordering, so a resubmitted program hits

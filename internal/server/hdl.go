@@ -146,7 +146,7 @@ func (s *Server) handleHDL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.Normalized(s.cfg.DefaultDeadline)
-	p, status, err := Resolve(req)
+	p, fp, status, err := ResolveFingerprint(req)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
@@ -155,7 +155,7 @@ func (s *Server) handleHDL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := req.cacheKey("hdl", p)
+	key := req.cacheKey("hdl", fp)
 	s.serveCached(w, r, key, func() (int, []byte, string) {
 		st, b := s.runHDL(req, p, key)
 		return st, b, ""

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cfu"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/ir"
 )
 
 // Request is the JSON body of POST /v1/customize. Exactly one of Benchmark
@@ -141,17 +140,18 @@ func (r Request) deadline(def time.Duration) time.Duration {
 }
 
 // cacheKey is the canonical content hash of (endpoint, program,
-// configuration): the program's semantic fingerprint (ir.Fingerprint,
-// invariant under pure-op reordering and ID renumbering) combined with
-// every configuration field that can change the response. The kind prefix
+// configuration): the program's semantic fingerprint fp (ir.Fingerprint as
+// ResolveFingerprint returns it, invariant under pure-op reordering and ID
+// renumbering) combined with every configuration field that can change
+// the response. The kind prefix
 // ("customize", "hdl") keeps different endpoints' results from aliasing in
 // the shared cache even though they hash the same request fields.
 // Requests with equal keys provably produce byte-identical responses,
 // which is what makes the cache sound.
-func (r Request) cacheKey(kind string, p *ir.Program) string {
+func (r Request) cacheKey(kind, fp string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "iscd/v1\nkind %s\nprogram %s\nbudget %g\nports %d/%d\nmode %s\n",
-		kind, ir.Fingerprint(p), r.Budget, r.MaxInputs, r.MaxOutputs, r.SelectMode)
+		kind, fp, r.Budget, r.MaxInputs, r.MaxOutputs, r.SelectMode)
 	fmt.Fprintf(h, "strategy %s cost_model %s\n", r.Strategy, r.CostModel)
 	fmt.Fprintf(h, "variants %t classes %t multi %t opt %t verify %t\n",
 		r.UseVariants, r.UseOpcodeClasses, r.MultiFunction, r.Optimize, r.Verify)

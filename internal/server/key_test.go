@@ -48,17 +48,17 @@ func TestCacheKeyCanonicalizesNodeOrder(t *testing.T) {
 	if a.String() == c.String() {
 		t.Fatal("test is vacuous: programs have identical text")
 	}
-	if req.cacheKey("customize", a) != req.cacheKey("customize", c) {
+	if req.cacheKey("customize", ir.Fingerprint(a)) != req.cacheKey("customize", ir.Fingerprint(c)) {
 		t.Error("reordered-but-identical programs produced different cache keys")
 	}
 }
 
 func TestCacheKeySensitiveToProgram(t *testing.T) {
 	req := Request{}.Normalized(testDeadline)
-	base := req.cacheKey("customize", buildHashKernel(false))
+	base := req.cacheKey("customize", ir.Fingerprint(buildHashKernel(false)))
 	p := buildHashKernel(false)
 	p.Blocks[0].Weight = 4999
-	if req.cacheKey("customize", p) == base {
+	if req.cacheKey("customize", ir.Fingerprint(p)) == base {
 		t.Error("profile-weight change did not change the cache key")
 	}
 }
@@ -100,7 +100,7 @@ func mutate(field reflect.Value) bool {
 func TestCacheKeySensitiveToEveryRequestField(t *testing.T) {
 	p := buildHashKernel(false)
 	base := Request{}.Normalized(testDeadline)
-	baseKey := base.cacheKey("customize", p)
+	baseKey := base.cacheKey("customize", ir.Fingerprint(p))
 	seen := map[string]string{}
 	rt := reflect.TypeOf(Request{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -112,7 +112,7 @@ func TestCacheKeySensitiveToEveryRequestField(t *testing.T) {
 		if !mutate(reflect.ValueOf(&r).Elem().Field(i)) {
 			t.Fatalf("field %s has kind %s the guard cannot mutate; extend mutate()", name, rt.Field(i).Type.Kind())
 		}
-		key := r.cacheKey("customize", p)
+		key := r.cacheKey("customize", ir.Fingerprint(p))
 		if key == baseKey {
 			t.Errorf("changing %s did not change the cache key", name)
 		}
@@ -129,7 +129,7 @@ func TestCacheKeySensitiveToEveryRequestField(t *testing.T) {
 func TestCacheKeyNormalizesDefaults(t *testing.T) {
 	p := buildHashKernel(false)
 	norm := Request{}.Normalized(testDeadline)
-	implicit := norm.cacheKey("customize", p)
+	implicit := norm.cacheKey("customize", ir.Fingerprint(p))
 	// Normalizing must be idempotent...
 	if again := norm.Normalized(testDeadline); again != norm {
 		t.Errorf("normalized() is not idempotent: %+v != %+v", again, norm)
@@ -143,7 +143,7 @@ func TestCacheKeyNormalizesDefaults(t *testing.T) {
 		}
 		var r Request
 		reflect.ValueOf(&r).Elem().Field(i).Set(reflect.ValueOf(norm).Field(i))
-		if key := r.Normalized(testDeadline).cacheKey("customize", p); key != implicit {
+		if key := r.Normalized(testDeadline).cacheKey("customize", ir.Fingerprint(p)); key != implicit {
 			t.Errorf("spelling out the default %s changed the cache key", name)
 		}
 	}
@@ -156,16 +156,16 @@ func TestCacheKeyNormalizesDefaults(t *testing.T) {
 // server default before cacheKey hashes it.
 func TestCacheKeyNormalizesDeadline(t *testing.T) {
 	p := buildHashKernel(false)
-	implicit := Request{}.Normalized(testDeadline).cacheKey("customize", p)
+	implicit := Request{}.Normalized(testDeadline).cacheKey("customize", ir.Fingerprint(p))
 	spelled := Request{DeadlineMS: int(testDeadline / time.Millisecond)}
-	explicit := spelled.Normalized(testDeadline).cacheKey("customize", p)
+	explicit := spelled.Normalized(testDeadline).cacheKey("customize", ir.Fingerprint(p))
 	if implicit != explicit {
 		t.Error("deadline_ms 0 and the spelled-out server default produced different cache keys")
 	}
 	// A genuinely different deadline is different work (truncation point
 	// differs) and must not collide with the default.
 	other := Request{DeadlineMS: int(testDeadline/time.Millisecond) + 1000}
-	if other.Normalized(testDeadline).cacheKey("customize", p) == implicit {
+	if other.Normalized(testDeadline).cacheKey("customize", ir.Fingerprint(p)) == implicit {
 		t.Error("a non-default deadline_ms collided with the default's cache key")
 	}
 }
@@ -179,7 +179,7 @@ func TestCacheKeySeparatesStrategies(t *testing.T) {
 	for _, strat := range []string{"", "enumerate", "improve"} {
 		for _, cost := range []string{"", "area", "uarch"} {
 			r := Request{Strategy: strat, CostModel: cost}.Normalized(testDeadline)
-			keys[fmt.Sprintf("%s/%s", strat, cost)] = r.cacheKey("customize", p)
+			keys[fmt.Sprintf("%s/%s", strat, cost)] = r.cacheKey("customize", ir.Fingerprint(p))
 		}
 	}
 	if keys["/"] != keys["enumerate/area"] {

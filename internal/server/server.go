@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mdes"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // maxRequestBytes bounds a customize request body (programs are text; the
@@ -232,15 +230,10 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "want GET")
 		return
 	}
-	var out []BenchmarkInfo
-	for _, b := range workloads.All() {
-		out = append(out, BenchmarkInfo{
-			Name:        b.Name,
-			Domain:      b.Domain,
-			Description: b.Description,
-			Blocks:      len(b.Program.Blocks),
-			Ops:         b.Program.NumOps(),
-		})
+	out, err := benchmarkInfos()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -292,39 +285,6 @@ func retryAfterSeconds(d time.Duration) int {
 	return max(secs, 1)
 }
 
-// Resolve turns a request's benchmark name or iscasm text into a validated
-// program, with the HTTP status to use on failure. The cluster router uses
-// it to fingerprint requests for consistent-hash routing with exactly the
-// replica's semantics, so router and replica can never disagree about
-// which program a request names.
-func Resolve(req Request) (*ir.Program, int, error) {
-	var p *ir.Program
-	switch {
-	case req.Benchmark != "" && req.Program != "":
-		return nil, http.StatusBadRequest, fmt.Errorf("set benchmark or program, not both")
-	case req.Benchmark != "":
-		b, err := workloads.ByName(req.Benchmark)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		p = b.Program
-	case req.Program != "":
-		parsed, err := asm.Parse(strings.NewReader(req.Program))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		p = parsed
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("request needs a benchmark name or an iscasm program")
-	}
-	// Validation before fingerprinting: the canonical hash walks the DFG
-	// and must only see well-formed (acyclic) programs.
-	if err := ir.Validate(p); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return p, 0, nil
-}
-
 // handleCustomize is POST /v1/customize: cache lookup, coalescing, bounded
 // admission, pipeline run, deterministic encoding. The X-Iscd-Cache
 // response header says how the reply was produced ("hit", "miss", or
@@ -354,7 +314,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.Normalized(s.cfg.DefaultDeadline)
-	p, status, err := Resolve(req)
+	p, fp, status, err := ResolveFingerprint(req)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
@@ -364,7 +324,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := req.cacheKey("customize", p)
+	key := req.cacheKey("customize", fp)
 	s.serveCached(w, r, key, func() (int, []byte, string) { return s.run(req, p, key) })
 }
 

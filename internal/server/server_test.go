@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -294,9 +296,13 @@ func TestBenchmarksEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []BenchmarkInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 16 {
@@ -304,6 +310,15 @@ func TestBenchmarksEndpoint(t *testing.T) {
 	}
 	if out[0].Name != "blowfish" || out[0].Domain != "encryption" || out[0].Ops == 0 {
 		t.Errorf("unexpected first benchmark: %+v", out[0])
+	}
+	// The listing is served from the named-program memo; its bytes are
+	// pinned to the body the per-request workloads.All() build produced.
+	golden, err := os.ReadFile(filepath.Join("testdata", "benchmarks.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, golden) {
+		t.Errorf("GET /v1/benchmarks body differs from testdata/benchmarks.json:\n%s", body)
 	}
 }
 
