@@ -127,7 +127,7 @@ func replaceMatch(b *ir.Block, d *ir.DFG, pattern *graph.Shape, m graph.Match, c
 	succs := make([][]int32, n+1)
 	so := 0
 	for i := 0; i <= n; i++ {
-		succs[i] = succFlat[so:so : so+int(succCnt[i])]
+		succs[i] = succFlat[so : so : so+int(succCnt[i])]
 		so += int(succCnt[i])
 	}
 	for _, e := range edges {

@@ -10,7 +10,10 @@ import (
 
 // fuzzSeedSegment renders a small valid segment through the real encoder,
 // so mutations explore the actual on-disk format rather than random junk.
-func fuzzSeedSegment(t interface{ TempDir() string; Fatal(...any) }) []byte {
+func fuzzSeedSegment(t interface {
+	TempDir() string
+	Fatal(...any)
+}) []byte {
 	dir := t.TempDir()
 	c, err := Open(dir, 0)
 	if err != nil {

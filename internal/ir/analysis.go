@@ -157,13 +157,13 @@ func Analyze(b *Block) *DFG {
 	d.DataSuccs = make([][]int, n)
 	po, so, do, dso := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
-		d.Preds[i] = predFlat[po:po : po+int(predCnt[i])]
+		d.Preds[i] = predFlat[po : po : po+int(predCnt[i])]
 		po += int(predCnt[i])
-		d.Succs[i] = succFlat[so:so : so+int(succCnt[i])]
+		d.Succs[i] = succFlat[so : so : so+int(succCnt[i])]
 		so += int(succCnt[i])
-		d.DataPreds[i] = dataFlat[do:do : do+int(dataCnt[i])]
+		d.DataPreds[i] = dataFlat[do : do : do+int(dataCnt[i])]
 		do += int(dataCnt[i])
-		d.DataSuccs[i] = dataSuccFlat[dso:dso : dso+int(dataSuccCnt[i])]
+		d.DataSuccs[i] = dataSuccFlat[dso : dso : dso+int(dataSuccCnt[i])]
 		dso += int(dataSuccCnt[i])
 	}
 	for _, e := range edges {

@@ -235,7 +235,7 @@ func Generate(spec Spec) (*ir.Program, error) {
 		b := p.AddBlock(fmt.Sprintf("s%03d", i), spec.Weight/float64(i+1))
 		genBlock(rng, b, spec)
 		if i+1 < spec.Blocks {
-			b.Succs = []string{fmt.Sprintf("s%03d", i + 1)}
+			b.Succs = []string{fmt.Sprintf("s%03d", i+1)}
 		}
 	}
 	if err := ir.Validate(p); err != nil {

@@ -11,21 +11,21 @@ import (
 
 // Registry collects telemetry for one tool run.
 type Registry struct {
-	tool    string
-	start   time.Time
-	cpu0    time.Duration
-	mu      sync.Mutex
+	tool     string
+	start    time.Time
+	cpu0     time.Duration
+	mu       sync.Mutex
 	spans    map[string]*spanAgg
 	counters map[string]int64
 	gauges   map[string]float64
 }
 
 type spanAgg struct {
-	count  int64
-	wall   time.Duration
-	cpu    time.Duration
-	min    time.Duration
-	max    time.Duration
+	count int64
+	wall  time.Duration
+	cpu   time.Duration
+	min   time.Duration
+	max   time.Duration
 }
 
 // New returns an enabled registry labeled with the tool name.
