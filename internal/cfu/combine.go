@@ -3,7 +3,6 @@ package cfu
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -319,6 +318,3 @@ func containsInt(s []int, v int) bool {
 	}
 	return false
 }
-
-// RoundArea quantizes an area to selection granularity.
-func RoundArea(a float64) float64 { return math.Round(a*100) / 100 }

@@ -21,10 +21,23 @@ import (
 // well under a megabyte).
 const maxResponseBytes = 64 << 20
 
+const (
+	// attemptSlack pads the per-attempt timeout above the request's
+	// pipeline deadline: the replica needs the whole deadline to produce
+	// its best-so-far answer, plus transit. Requests with no deadline get
+	// attempts capped at 60s.
+	attemptSlack = 2 * time.Second
+	// degradeFactor scales the deadline of degraded-admitted requests,
+	// floored at Config.DeadlineFloor: shrink the search, keep the request.
+	degradeFactor = 0.25
+	// jitterSeed fixes the backoff jitter so retry timing is reproducible.
+	jitterSeed = 1
+)
+
 // SLODeadlines maps each service class onto its default pipeline deadline:
 // the knob that ties the cluster's overload story to the anytime
 // machinery. A request carrying its own deadline_ms keeps it; degraded
-// admission multiplies whichever applies by Config.DegradeFactor.
+// admission multiplies whichever applies by degradeFactor.
 type SLODeadlines struct {
 	// Gold, Silver, Bronze are the per-class defaults (0 = the package
 	// default: 30s / 10s / 3s).
@@ -47,12 +60,6 @@ func (d SLODeadlines) For(class SLO) time.Duration {
 type Config struct {
 	// Replicas lists the iscd backends. At least one is required.
 	Replicas []ReplicaConfig
-	// Policy picks the routing preference order: "affinity" (default),
-	// "roundrobin", or "leastloaded".
-	Policy string
-	// VirtualNodes is the per-replica point count on the affinity ring
-	// (0 = 64).
-	VirtualNodes int
 
 	// HealthInterval and HealthTimeout drive the active health loop
 	// (0 = 1s / 500ms).
@@ -69,33 +76,18 @@ type Config struct {
 	MaxAttempts int
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeAfter fires a duplicate attempt at the next replica when the
-	// current one has not answered within this duration (0 = hedging off).
-	// First acceptable response wins.
-	HedgeAfter time.Duration
-	// AttemptSlack pads the per-attempt timeout above the request's
-	// pipeline deadline — the replica needs the whole deadline to produce
-	// its best-so-far answer, plus transit (0 = 2s). Requests with no
-	// deadline get attempts capped at 60s.
-	AttemptSlack time.Duration
 
 	// Admission sizes the token-bucket admission controller.
 	Admission AdmissionConfig
 	// Deadlines maps SLO classes onto default pipeline deadlines.
 	Deadlines SLODeadlines
-	// DegradeFactor scales the deadline of degraded-admitted requests
-	// (0 = 0.25), floored at DeadlineFloor (0 = 50ms): shrink the search,
-	// keep the request.
-	DegradeFactor float64
+	// DeadlineFloor is the smallest deadline degraded admission may shrink
+	// a request to (0 = 50ms).
 	DeadlineFloor time.Duration
 
 	// Telemetry receives the router's counters and gauges (nil = fresh
 	// registry).
 	Telemetry *telemetry.Registry
-	// Seed fixes the backoff jitter for reproducible tests (0 = 1).
-	Seed int64
-	// Client performs upstream HTTP (nil = a dedicated transport).
-	Client *http.Client
 }
 
 // Cluster is the router: create with New, mount Handler, call Start to
@@ -104,7 +96,7 @@ type Cluster struct {
 	cfg       Config
 	tel       *telemetry.Registry
 	replicas  []*Replica
-	policy    Policy
+	ring      *Ring
 	admission *Admission
 	client    *http.Client
 	mux       *http.ServeMux
@@ -132,9 +124,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		seen[rc.Name] = true
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyAffinity
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
@@ -156,9 +145,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 500 * time.Millisecond
 	}
-	if cfg.AttemptSlack <= 0 {
-		cfg.AttemptSlack = 2 * time.Second
-	}
 	if cfg.Deadlines.Gold <= 0 {
 		cfg.Deadlines.Gold = 30 * time.Second
 	}
@@ -168,14 +154,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Deadlines.Bronze <= 0 {
 		cfg.Deadlines.Bronze = 3 * time.Second
 	}
-	if cfg.DegradeFactor <= 0 || cfg.DegradeFactor >= 1 {
-		cfg.DegradeFactor = 0.25
-	}
 	if cfg.DeadlineFloor <= 0 {
 		cfg.DeadlineFloor = 50 * time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -185,26 +165,15 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		tel:       tel,
 		admission: NewAdmission(cfg.Admission),
-		client:    cfg.Client,
+		client:    &http.Client{},
 		mux:       http.NewServeMux(),
-		jitter:    rand.New(rand.NewSource(cfg.Seed)),
+		jitter:    rand.New(rand.NewSource(jitterSeed)),
 		stop:      make(chan struct{}),
-	}
-	if c.client == nil {
-		c.client = &http.Client{}
 	}
 	for _, rc := range cfg.Replicas {
 		c.replicas = append(c.replicas, newReplica(rc, cfg.BreakerThreshold, cfg.BreakerCooloff))
 	}
-	var err error
-	if c.cfg.Policy == PolicyAffinity && cfg.VirtualNodes > 0 {
-		c.policy = NewRing(c.replicas, cfg.VirtualNodes)
-	} else {
-		c.policy, err = newPolicy(cfg.Policy, c.replicas)
-	}
-	if err != nil {
-		return nil, err
-	}
+	c.ring = NewRing(c.replicas)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
 	c.mux.HandleFunc("/metrics", c.handleMetrics)
 	c.mux.HandleFunc("/v1/benchmarks", c.handleBenchmarks)
@@ -312,7 +281,6 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	clusterWriteJSON(w, http.StatusOK, map[string]any{
 		"status":   status,
-		"policy":   c.policy.Name(),
 		"replicas": rows,
 	})
 }
@@ -368,9 +336,8 @@ type corpusReplica struct {
 	Stats   *corpus.Stats `json:"stats,omitempty"`
 }
 
-// handleCorpus is GET /v1/corpus: the cluster-wide corpus view. Under the
-// affinity policy the fingerprint ring that routes requests is also the
-// corpus shard map — one program's blocks always land on (and therefore
+// handleCorpus is GET /v1/corpus: the cluster-wide corpus view. The
+// fingerprint ring that routes requests is also the corpus shard map — one program's blocks always land on (and therefore
 // warm) the same replica — so the aggregate totals below describe one
 // logical corpus sharded across the fleet. The endpoint fans out to every
 // replica concurrently and sums entries, hits, misses, inserts, and disk
@@ -412,7 +379,6 @@ func (c *Cluster) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		total.DiskBytes += st.DiskBytes
 	}
 	clusterWriteJSON(w, http.StatusOK, map[string]any{
-		"policy":   c.policy.Name(),
 		"enabled":  enabled,
 		"replicas": rows,
 		"total":    total,
@@ -457,8 +423,8 @@ func (c *Cluster) fetchCorpus(ctx context.Context, rep *Replica) corpusReplica {
 
 // effectiveDeadline maps (request, class, admission decision) onto the
 // pipeline deadline forwarded to the replica: the request's own
-// deadline_ms if set, else the class default; shrunk by DegradeFactor
-// (floored) when admission degraded the request. This is the SLO →
+// deadline_ms if set, else the class default; shrunk by degradeFactor
+// (floored at DeadlineFloor) when admission degraded the request. This is the SLO →
 // anytime mapping: overload makes deadlines smaller, so replicas return
 // best-so-far Truncated results instead of the cluster returning errors.
 func (c *Cluster) effectiveDeadline(d time.Duration, class SLO, degraded bool) time.Duration {
@@ -466,7 +432,7 @@ func (c *Cluster) effectiveDeadline(d time.Duration, class SLO, degraded bool) t
 		d = c.cfg.Deadlines.For(class)
 	}
 	if degraded {
-		d = time.Duration(float64(d) * c.cfg.DegradeFactor)
+		d = time.Duration(float64(d) * degradeFactor)
 		d = max(d, c.cfg.DeadlineFloor)
 	}
 	return d
@@ -518,7 +484,7 @@ func (c *Cluster) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	// The overall routing budget: the pipeline deadline plus slack per
 	// possible attempt, so a request can fail over even after burning most
 	// of its deadline on a dead replica.
-	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.cfg.MaxAttempts)*c.cfg.AttemptSlack)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline+time.Duration(c.cfg.MaxAttempts)*attemptSlack)
 	defer cancel()
 
 	res := c.do(ctx, preq.Key, http.MethodPost, "/v1/customize", fwdBody, deadline)
@@ -548,12 +514,6 @@ type upstream struct {
 // death.
 func (u *upstream) drain() bool {
 	return u.err == nil && u.status == http.StatusServiceUnavailable && u.header.Get("Retry-After") != ""
-}
-
-// retryable reports an outcome worth another attempt: transport errors
-// and 5xx (including drain — on another replica it may well succeed).
-func (u *upstream) retryable() bool {
-	return u.err != nil || u.status >= 500
 }
 
 // serveUpstream writes a routed result to the client, passing replica
@@ -629,14 +589,13 @@ func (c *Cluster) backoff(n int) time.Duration {
 	return time.Duration(j)
 }
 
-// do is the attempt engine: walk the policy's preference order with
-// per-attempt timeouts, jittered backoff between tries, failover past
-// failed or draining replicas, and optional hedging. It returns the first
-// acceptable upstream result, or the last failure when every attempt is
-// spent. deadline is the pipeline deadline the current attempt must be
+// do is the attempt engine: walk the key's ring order with per-attempt
+// timeouts, jittered backoff between tries, and failover past failed or
+// draining replicas. It returns the first acceptable upstream result, or
+// the last failure when every attempt is spent. deadline is the pipeline deadline the current attempt must be
 // allowed to use in full (0 = none).
 func (c *Cluster) do(ctx context.Context, key string, method, path string, body []byte, deadline time.Duration) upstream {
-	seq := c.policy.Sequence(key)
+	seq := c.ring.Sequence(key)
 	cursor := 0
 	var prev *Replica
 	var last upstream
@@ -668,7 +627,7 @@ func (c *Cluster) do(ctx context.Context, key string, method, path string, body 
 			}
 		}
 		prev = rep
-		res := c.hedged(ctx, seq, cursor, rep, method, path, body, deadline)
+		res := c.attempt(ctx, rep, method, path, body, deadline)
 		res.attempts = last.attempts + 1
 		res.failovers = last.failovers
 		last = res
@@ -692,54 +651,12 @@ func (c *Cluster) do(ctx context.Context, key string, method, path string, body 
 	return last
 }
 
-// hedged runs one attempt, firing a duplicate at the next routable
-// replica if the primary has not answered within HedgeAfter. The first
-// acceptable (non-retryable) result wins; hedge losers are cancelled and
-// never counted against a breaker.
-func (c *Cluster) hedged(ctx context.Context, seq []*Replica, cursor int, primary *Replica, method, path string, body []byte, deadline time.Duration) upstream {
-	backup := (*Replica)(nil)
-	if c.cfg.HedgeAfter > 0 {
-		bc := cursor
-		backup = c.nextReplica(seq, &bc)
-	}
-	if backup == nil || backup == primary {
-		return c.attempt(ctx, primary, method, path, body, deadline)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan upstream, 2)
-	go func() { resc <- c.attempt(actx, primary, method, path, body, deadline) }()
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	launched := 1
-	select {
-	case res := <-resc:
-		return res
-	case <-timer.C:
-		c.tel.Add(telemetry.CounterHedge, 1)
-		launched = 2
-		go func() { resc <- c.attempt(actx, backup, method, path, body, deadline) }()
-	}
-	var first upstream
-	for i := 0; i < launched; i++ {
-		res := <-resc
-		if !res.retryable() {
-			return res
-		}
-		if i == 0 {
-			first = res
-		}
-	}
-	return first
-}
-
 // attempt performs one upstream HTTP exchange with its per-attempt
-// timeout (deadline + AttemptSlack, or 60s for unbounded requests) and
-// maintains the replica's in-flight gauge.
+// timeout (deadline + attemptSlack, or 60s for unbounded requests).
 func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string, body []byte, deadline time.Duration) upstream {
 	timeout := 60 * time.Second
 	if deadline > 0 {
-		timeout = deadline + c.cfg.AttemptSlack
+		timeout = deadline + attemptSlack
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -755,8 +672,6 @@ func (c *Cluster) attempt(ctx context.Context, rep *Replica, method, path string
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
 	c.tel.Add("cluster.attempts", 1)
 	resp, err := c.client.Do(req)
 	if err != nil {

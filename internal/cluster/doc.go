@@ -14,16 +14,15 @@
 //     fingerprint is the routing key, computed once per hop.
 //   - Admission: token-bucket admission control per SLO class. An empty
 //     class bucket does not mean rejection: the request degrades first —
-//     its deadline shrinks (DegradeFactor) so the anytime machinery returns
+//     its deadline shrinks (×0.25, floored) so the anytime machinery returns
 //     a best-so-far Truncated result — and gold may then borrow bronze's
 //     and silver's tokens, so under overload bronze sheds first and gold
 //     last. Shed responses are 503 + Retry-After.
-//   - Policy / Ring: pluggable replica-preference orders. The default
-//     fingerprint-affinity policy walks a consistent-hash ring keyed by
-//     ir.Fingerprint, so identical programs land on the same replica and
-//     the per-replica LRUs shard the result space instead of duplicating
-//     it; round-robin and least-loaded are alternatives for cache-cold
-//     fleets.
+//   - Ring: the one routing order, fingerprint affinity. A consistent-hash
+//     ring keyed by ir.Fingerprint sends identical programs to the same
+//     replica, so the per-replica caches and corpus shards split the
+//     result space instead of duplicating it; a key's clockwise ring walk
+//     is both its preference and its failover order.
 //   - Replica / Breaker / health loop: every replica carries an active
 //     health state (healthy | degraded | down, plus draining) driven by
 //     periodic GET /healthz and passive per-request signals, and a
@@ -31,12 +30,11 @@
 //     carrying Retry-After is graceful drain, not death: it re-routes
 //     without tripping the breaker.
 //   - Cluster.do: the attempt engine — per-attempt timeouts, jittered
-//     exponential backoff, failover to the next replica in preference
-//     order, and optional hedging (a duplicate attempt fired at the next
-//     replica when the first is slow). Response bytes pass through
-//     untouched, so a cluster answer is byte-identical to the single-node
-//     answer for the same effective request.
+//     exponential backoff, and failover to the next replica on the key's
+//     ring walk. Response bytes pass through untouched, so a cluster
+//     answer is byte-identical to the single-node answer for the same
+//     effective request.
 //
 // Main entry points: New, Cluster.Handler, Cluster.Start/Close,
-// ParseRequest, ParseSLO, Policies.
+// ParseRequest, ParseSLO, NewRing.
 package cluster

@@ -106,7 +106,7 @@ func TestRobustnessFaultedFleetStaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.cluster.policy.Sequence(preq.Key)[0].Name == "r2" {
+		if f.cluster.ring.Sequence(preq.Key)[0].Name == "r2" {
 			r2Body = body
 			break
 		}

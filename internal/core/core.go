@@ -58,12 +58,6 @@ type Config struct {
 	// Verify cross-checks every transformed block against the original in
 	// the functional simulator.
 	Verify bool
-	// Fanout overrides the exploration fanout policy (nil = default).
-	Fanout explore.FanoutPolicy
-	// FanoutDesc names a Fanout override for corpus keying (see
-	// explore.Config.FanoutDesc). Ignored when Fanout is nil; leaving it
-	// empty alongside a custom Fanout bypasses the corpus for safety.
-	FanoutDesc string
 	// Corpus, when non-nil, memoizes per-block exploration results across
 	// runs: repeated and overlapping workloads replay memoized candidates
 	// instead of re-searching, with selected results byte-identical to a
@@ -182,10 +176,6 @@ func generate(p *ir.Program, cfg Config) (*mdes.MDES, []*cfu.CFU, explore.Stats,
 	ecfg.MaxCandidates = cfg.MaxCandidates
 	if cfg.MaxExamined > 0 {
 		ecfg.MaxExamined = cfg.MaxExamined
-	}
-	if cfg.Fanout != nil {
-		ecfg.Fanout = cfg.Fanout
-		ecfg.FanoutDesc = cfg.FanoutDesc
 	}
 	ecfg.Corpus = cfg.Corpus
 	ecfg.Workers = cfg.Workers

@@ -720,26 +720,6 @@ func (c *blockCtx) seed(i int) *workItem {
 	return w
 }
 
-// longestPath computes the candidate's internal critical-path delay.
-// Members are ascending, and block order is topological, so one pass
-// suffices.
-func (c *blockCtx) longestPath(w *workItem) float64 {
-	max := 0.0
-	for _, i := range w.members {
-		best := 0.0
-		for _, p := range c.dataPreds[i] {
-			if w.set.has(p) && c.scratch[p] > best {
-				best = c.scratch[p]
-			}
-		}
-		c.scratch[i] = best + c.delay[i]
-		if c.scratch[i] > max {
-			max = c.scratch[i]
-		}
-	}
-	return max
-}
-
 // numIO counts register input and output ports.
 func (c *blockCtx) numIO(w *workItem) (in, out int) {
 	in = w.argUnion.andNotCount(w.set)

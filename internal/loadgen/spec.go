@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -239,18 +238,3 @@ func (s Spec) requestBody(pick int) ([]byte, error) {
 // benchLabel names the benchmark request i of the spec would carry (for
 // reports and tests).
 func (s Spec) benchLabel(pick int) string { return s.Benchmarks[pick%len(s.Benchmarks)] }
-
-// SpecNames returns the sorted distinct names of a spec set (report
-// ordering).
-func SpecNames(specs []Spec) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range specs {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

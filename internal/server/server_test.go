@@ -223,9 +223,12 @@ func TestShutdownDrainsInflightRuns(t *testing.T) {
 		err    error
 	}
 	done := make(chan result, 1)
+	// The injected 250ms slowdown supplies the in-flight window; the improve
+	// strategy keeps the pipeline itself short (enumerate runs for seconds
+	// under the race detector and would race the Shutdown deadline).
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/customize", "application/json",
-			strings.NewReader(`{"benchmark":"crc","budget":5}`))
+			strings.NewReader(`{"benchmark":"crc","budget":5,"strategy":"improve"}`))
 		if err != nil {
 			done <- result{0, err}
 			return

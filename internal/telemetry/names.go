@@ -21,9 +21,6 @@ const (
 	CounterDegraded = "resilience.degraded"
 	// CounterRetry counts re-attempts after a failed try, on any replica.
 	CounterRetry = "resilience.retry"
-	// CounterHedge counts hedged attempts: a duplicate request fired at a
-	// second replica because the first was slow to answer.
-	CounterHedge = "resilience.hedge"
 	// CounterFailover counts attempts that moved to a different replica
 	// than the previous try.
 	CounterFailover = "resilience.failover"
@@ -33,7 +30,7 @@ const (
 // order. WritePrometheus emits each of them (zero when never incremented),
 // so both iscd and isccluster /metrics always carry the full set.
 func ResilienceCounters() []string {
-	return []string{CounterShed, CounterDegraded, CounterRetry, CounterHedge, CounterFailover}
+	return []string{CounterShed, CounterDegraded, CounterRetry, CounterFailover}
 }
 
 // MetricName flattens a dotted counter/gauge name into the Prometheus
@@ -48,7 +45,7 @@ func MetricName(name string) string {
 // are always present (defaulting to 0) so their names are stable across
 // services regardless of which code paths have fired.
 func (s *Snapshot) WritePrometheus(w io.Writer, prefix string) {
-	counters := make(map[string]int64, len(s.Counters)+5)
+	counters := make(map[string]int64, len(s.Counters)+4)
 	for _, name := range ResilienceCounters() {
 		counters[name] = 0
 	}

@@ -13,7 +13,6 @@ func TestResilienceCounterNamesAreStable(t *testing.T) {
 		CounterShed:     "resilience.shed",
 		CounterDegraded: "resilience.degraded",
 		CounterRetry:    "resilience.retry",
-		CounterHedge:    "resilience.hedge",
 		CounterFailover: "resilience.failover",
 	}
 	for got, expect := range want {
@@ -51,7 +50,6 @@ func TestWritePrometheusAlwaysEmitsResilienceCounters(t *testing.T) {
 		"isccluster_resilience_shed 0\n",
 		"isccluster_resilience_degraded 0\n",
 		"isccluster_resilience_retry 3\n",
-		"isccluster_resilience_hedge 0\n",
 		"isccluster_resilience_failover 0\n",
 		"isccluster_replicas_healthy 2\n",
 	} {
