@@ -1,9 +1,12 @@
 package cfu
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/explore"
@@ -18,7 +21,7 @@ type Occurrence struct {
 	Block    *ir.Block
 	DFG      *ir.DFG
 	Set      ir.OpSet
-	NodeToOp []int
+	NodeToOp []int // block op index of each pattern node: every op of Set
 	Weight   float64
 }
 
@@ -54,6 +57,10 @@ type CFU struct {
 	// candidate list read-only.
 	Variants     []*graph.Shape
 	variantsOnce sync.Once
+
+	// idx is the selection index of the list this CFU was last combined or
+	// selected in; see indexFor.
+	idx *listIndex
 }
 
 // Name returns the CFU's mnemonic, e.g. "cfu3<shl-and-add>".
@@ -143,8 +150,9 @@ func CombinePartial(res *explore.Result, lib *hwlib.Library, opts CombineOptions
 	}
 	cfus = kept
 
-	for _, c := range cfus {
-		c.Value = estimateValue(c, nil)
+	x := indexFor(cfus)
+	for i, c := range cfus {
+		c.Value = x.liveValue(i, 0)
 	}
 	opts.Telemetry.Add("combine.candidates.in", int64(len(res.Candidates)))
 	opts.Telemetry.Add("combine.cfus.out", int64(len(cfus)))
@@ -162,10 +170,9 @@ func AnalyzeRelationships(cfus []*CFU, lib *hwlib.Library, opts CombineOptions) 
 	for _, c := range cfus {
 		ensureVariants(c, opts.MaxVariants)
 	}
-	rel := newRelationIndex(cfus)
-	for _, c := range cfus {
-		rel.subsumptionFor(c)
-		rel.wildcardsFor(c, lib)
+	x := indexFor(cfus)
+	for i := range cfus {
+		x.relate(i, lib)
 	}
 }
 
@@ -181,42 +188,60 @@ func ensureVariants(c *CFU, maxVariants int) {
 	})
 }
 
-// relationIndex buckets candidates so per-CFU relationship discovery does
-// not scan the whole list.
+// relationIndex orders a list's positions by shape signature and by shape
+// dimensions, so per-CFU relationship discovery scans only the CFUs that
+// can match instead of the whole list. The sorts are stable, so CFUs with
+// equal keys stay in list order. Discovery is idempotent: relating a CFU
+// again against the same list finds only links it already holds.
 type relationIndex struct {
-	cfus     []*CFU
-	bySig    map[string][]*CFU
-	byDims   map[[3]int][]*CFU
-	subsDone map[int]bool
-	wildDone map[int]bool
+	cfus   []*CFU
+	bySig  []int32
+	byDims []int32
 }
 
 func newRelationIndex(cfus []*CFU) *relationIndex {
-	r := &relationIndex{
-		cfus:     cfus,
-		bySig:    make(map[string][]*CFU),
-		byDims:   make(map[[3]int][]*CFU),
-		subsDone: make(map[int]bool),
-		wildDone: make(map[int]bool),
+	r := &relationIndex{cfus: cfus, bySig: make([]int32, len(cfus))}
+	for i := range r.bySig {
+		r.bySig[i] = int32(i)
 	}
-	for _, c := range cfus {
-		r.bySig[c.Shape.Signature()] = append(r.bySig[c.Shape.Signature()], c)
-		k := [3]int{len(c.Shape.Nodes), c.Shape.NumInputs, len(c.Shape.Outputs)}
-		r.byDims[k] = append(r.byDims[k], c)
-	}
+	r.byDims = slices.Clone(r.bySig)
+	slices.SortStableFunc(r.bySig, func(a, b int32) int {
+		return strings.Compare(cfus[a].Shape.Signature(), cfus[b].Shape.Signature())
+	})
+	slices.SortStableFunc(r.byDims, func(a, b int32) int {
+		return cmpDims(cfus[a].Shape, cfus[b].Shape)
+	})
 	return r
+}
+
+// cmpDims orders shapes by node, input and output counts: the dimensions
+// two wildcard partners share.
+func cmpDims(a, b *graph.Shape) int {
+	return cmp.Or(cmp.Compare(len(a.Nodes), len(b.Nodes)),
+		cmp.Compare(a.NumInputs, b.NumInputs),
+		cmp.Compare(len(a.Outputs), len(b.Outputs)))
+}
+
+// run returns the stretch of order, a list sorted by some key, whose CFUs
+// have the key f looks for; f compares a CFU's key with it. The stretch
+// holds its CFUs in list order.
+func (r *relationIndex) run(order []int32, f func(*CFU) int) []int32 {
+	lo := sort.Search(len(order), func(k int) bool { return f(r.cfus[order[k]]) >= 0 })
+	hi := lo
+	for hi < len(order) && f(r.cfus[order[hi]]) == 0 {
+		hi++
+	}
+	return order[lo:hi]
 }
 
 // subsumptionFor records which candidates a's hardware subsumes: every
 // candidate whose pattern is isomorphic to one of a's variants.
 func (r *relationIndex) subsumptionFor(a *CFU) {
-	if r.subsDone[a.ID] {
-		return
-	}
-	r.subsDone[a.ID] = true
 	ensureVariants(a, 0)
 	for _, v := range a.Variants {
-		for _, b := range r.bySig[v.Signature()] {
+		sig := v.Signature()
+		for _, p := range r.run(r.bySig, func(c *CFU) int { return strings.Compare(c.Shape.Signature(), sig) }) {
+			b := r.cfus[p]
 			if b == a || len(b.Shape.Nodes) >= len(a.Shape.Nodes) {
 				continue
 			}
@@ -233,12 +258,8 @@ func (r *relationIndex) subsumptionFor(a *CFU) {
 // wildcardsFor records a's wildcard partners: candidates of identical
 // structure differing at one node whose opcodes share a hardware class.
 func (r *relationIndex) wildcardsFor(a *CFU, lib *hwlib.Library) {
-	if r.wildDone[a.ID] {
-		return
-	}
-	r.wildDone[a.ID] = true
-	k := [3]int{len(a.Shape.Nodes), a.Shape.NumInputs, len(a.Shape.Outputs)}
-	for _, b := range r.byDims[k] {
+	for _, p := range r.run(r.byDims, func(c *CFU) int { return cmpDims(c.Shape, a.Shape) }) {
+		b := r.cfus[p]
 		if b == a || containsInt(a.Wildcards, b.ID) {
 			continue
 		}
@@ -262,52 +283,6 @@ func (r *relationIndex) wildcardsFor(a *CFU, lib *hwlib.Library) {
 // while the CFU issues once and completes in its pipelined latency.
 func savedPerExec(s *graph.Shape, lib *hwlib.Library) float64 {
 	return float64(len(s.Nodes)) - float64(s.Cycles(lib))
-}
-
-// estimateValue computes the profile-weighted savings over a maximal
-// disjoint subset of the CFU's occurrences, skipping ops claimed by
-// already-selected CFUs. Disjointness prevents double counting when the
-// same operations appear in overlapping occurrences.
-func estimateValue(c *CFU, claimed map[opKey]bool) float64 {
-	used := make(map[opKey]bool)
-	total := 0.0
-	for _, occ := range liveOccurrences(c, claimed, used) {
-		total += occ.Weight * c.SavedPerExec
-	}
-	return total
-}
-
-// liveOccurrences returns a maximal set of mutually disjoint occurrences
-// that avoid claimed ops. The used map, when non-nil, accumulates the ops
-// of returned occurrences (callers reuse it to claim them).
-func liveOccurrences(c *CFU, claimed, used map[opKey]bool) []Occurrence {
-	if used == nil {
-		used = make(map[opKey]bool)
-	}
-	var out []Occurrence
-	for _, occ := range c.Occurrences {
-		ok := true
-		for i := range occ.Set {
-			k := opKey{occ.Block, i}
-			if claimed[k] || used[k] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := range occ.Set {
-			used[opKey{occ.Block, i}] = true
-		}
-		out = append(out, occ)
-	}
-	return out
-}
-
-type opKey struct {
-	block *ir.Block
-	op    int
 }
 
 func containsInt(s []int, v int) bool {

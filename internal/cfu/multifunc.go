@@ -36,7 +36,7 @@ func BuildMultiFunction(cfus []*CFU, lib *hwlib.Library, topK int) []*CFU {
 		top = top[:topK]
 	}
 
-	rel := newRelationIndex(cfus)
+	rel := indexFor(cfus).relations()
 	out := cfus
 	seen := make(map[string]bool)
 	for _, a := range top {
@@ -105,7 +105,7 @@ func mergeWildcardPair(a, b *CFU, lib *hwlib.Library) *CFU {
 		return nil
 	}
 	m.Occurrences = append(append([]Occurrence(nil), a.Occurrences...), b.Occurrences...)
-	m.Value = estimateValue(m, nil)
+	m.Value = newListIndex([]*CFU{m}).liveValue(0, 0)
 	return m
 }
 

@@ -206,17 +206,19 @@ func (h *Harness) candidatesFull(name string) (candSet, error) {
 // combination, or selection short.
 func (h *Harness) MDESAt(name string, budget float64) (*mdes.MDES, error) {
 	v, hit, err := memoize(&h.mu, h.mdess, mdesKey{name, budget}, func() (*mdes.MDES, error) {
-		if err := faultinject.Fire("select", name); err != nil {
-			return nil, err
-		}
 		cs, err := h.candidatesFull(name)
 		if err != nil {
 			return nil, err
 		}
-		l := h.selLock(name)
-		l.Lock()
-		sel := cfu.Select(cs.cfus, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Telemetry: h.Telemetry, Ctx: h.Ctx})
-		l.Unlock()
+		var sel *cfu.Selection
+		h.withSelLock(name, func() {
+			if err = faultinject.Fire("select", name); err == nil {
+				sel = cfu.Select(cs.cfus, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Telemetry: h.Telemetry, Ctx: h.Ctx})
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 		m := mdes.FromSelection(name, budget, sel)
 		m.Truncated = m.Truncated || cs.truncated
 		return m, nil
@@ -639,11 +641,11 @@ func (h *Harness) multiFuncMDES(source string, budget float64) (*mdes.MDES, int,
 	if err != nil {
 		return nil, 0, err
 	}
-	l := h.selLock(source)
-	l.Lock()
-	multi := cfu.BuildMultiFunction(cands, h.Lib, 0)
-	sel := cfu.Select(multi, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib})
-	l.Unlock()
+	var sel *cfu.Selection
+	h.withSelLock(source, func() {
+		multi := cfu.BuildMultiFunction(cands, h.Lib, 0)
+		sel = cfu.Select(multi, cfu.SelectOptions{Budget: budget, Mode: h.SelectMode, Lib: h.Lib})
+	})
 	merged := 0
 	for _, c := range sel.CFUs {
 		for _, n := range c.Shape.Nodes {
@@ -826,10 +828,10 @@ func (h *Harness) SelectionAblation(app string, budgets []float64) ([]AblationPo
 	out := make([]AblationPoint, len(modes)*len(budgets))
 	err = h.parallelFor(len(out), func(j int) error {
 		mode, budget := modes[j/len(budgets)], budgets[j%len(budgets)]
-		l := h.selLock(app)
-		l.Lock()
-		sel := cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: mode})
-		l.Unlock()
+		var sel *cfu.Selection
+		h.withSelLock(app, func() {
+			sel = cfu.Select(cands, cfu.SelectOptions{Budget: budget, Mode: mode})
+		})
 		m := mdes.FromSelection(app, budget, sel)
 		_, rep, err := compile.Compile(b.Program, m, compile.Options{Machine: h.Machine, Lib: h.Lib})
 		if err != nil {

@@ -233,6 +233,16 @@ func (h *Harness) selLock(app string) *sync.Mutex {
 	return l
 }
 
+// withSelLock runs f under app's select lock. The lock is released even
+// when f panics, so a contained panic fails only its own job instead of
+// blocking every later selection over the same candidates.
+func (h *Harness) withSelLock(app string, f func()) {
+	l := h.selLock(app)
+	l.Lock()
+	defer l.Unlock()
+	f()
+}
+
 // noteJobTime accumulates the wall-clock time one compile job spent, for
 // the tools' parallel-speedup report.
 func (h *Harness) noteJobTime(start time.Time) {

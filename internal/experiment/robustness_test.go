@@ -138,6 +138,64 @@ func TestSweepSurvivesInjectedError(t *testing.T) {
 	}
 }
 
+// TestSelectPanicReleasesLock pins that a panic inside the per-benchmark
+// select lock fails only its own jobs. Two faults panic while crc's lock is
+// held: a poisoned candidate list (a nil CFU makes cfu.Select itself panic)
+// and the "select" injection site, which fires under the lock. Every later
+// budget of crc must still take the lock and fail the same way instead of
+// blocking forever, and the other curves must match an uninjected run.
+func TestSelectPanicReleasesLock(t *testing.T) {
+	budgets := []float64{2, 5}
+	clean := NewHarness()
+	clean.Parallelism = 2
+	want, err := clean.Fig7Native("network", budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []string{"poisoned", "injected"} {
+		h := NewHarness()
+		h.Parallelism = 2
+		switch fault {
+		case "poisoned":
+			cs, err := h.candidatesFull("crc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs.cfus[0] = nil // shared with the memoized list
+		case "injected":
+			restore, err := faultinject.Enable("select:crc=panic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+		}
+		var got []*SweepResult
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			got, _ = h.Fig7Native("network", budgets)
+		}()
+		select {
+		case <-done:
+		case <-time.After(90 * time.Second):
+			t.Fatalf("%s: sweep still blocked after 90s: a panic under crc's select lock left it held", fault)
+		}
+		for i, s := range got {
+			if s.App != "crc" {
+				if s.Err != nil || !reflect.DeepEqual(s.Points, want[i].Points) {
+					t.Errorf("%s: healthy curve %s diverged (err %v):\nclean: %+v\nfault: %+v",
+						fault, s.Label(), s.Err, want[i].Points, s.Points)
+				}
+				continue
+			}
+			var pe *PanicError
+			if !errors.As(s.Err, &pe) || !strings.Contains(s.Err.Error(), "crc") {
+				t.Errorf("%s: crc failure not attributed as a contained panic: %v", fault, s.Err)
+			}
+		}
+	}
+}
+
 // TestInjectedSlowJobStillCompletes proves the slow mode delays but does
 // not fail a pipeline stage.
 func TestInjectedSlowJobStillCompletes(t *testing.T) {

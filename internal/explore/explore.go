@@ -4,7 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,7 +465,9 @@ type blockCtx struct {
 	area      []float64
 	delay     []float64
 
-	scratch []float64 // longest-path workspace
+	scratch  []float64 // longest-path workspace, indexed by op
+	depth    []float64 // member depths of the loaded candidate, indexed by op
+	probeSet bitset    // membership of the last probed growth
 
 	nv int // value-space width (ops then regs); argUnion bitset width
 
@@ -493,6 +495,8 @@ func newBlockCtx(b *ir.Block, lib *hwlib.Library) *blockCtx {
 		area:      make([]float64, n),
 		delay:     make([]float64, n),
 		scratch:   make([]float64, n),
+		depth:     make([]float64, n),
+		probeSet:  newBitset(n),
 	}
 	regID := make(map[ir.Reg]int)
 	for _, op := range b.Ops {
@@ -595,112 +599,141 @@ func (c *blockCtx) release(w *workItem) {
 	c.free = append(c.free, w)
 }
 
-// grow returns cur extended with op nb, maintaining the derived fields
-// incrementally instead of recomputing them from scratch:
+// growth is what adding one op to a candidate would cost: the fields grow
+// sets on the new work item and the guide scores a direction by.
+type growth struct {
+	area, latency float64
+	in, out       int
+	depth         float64 // the op's internal critical-path depth
+	// fed reports that the op feeds a member, so the members it reaches
+	// were given new depths in blockCtx.scratch.
+	fed bool
+}
+
+// load makes cur the candidate probe extends: its member depths are
+// spread into c.depth, indexed by op. Every probe of one candidate shares
+// a single load.
+func (c *blockCtx) load(cur *workItem) {
+	for k, m := range cur.members {
+		c.depth[m] = cur.depths[k]
+	}
+}
+
+// probe computes the growth of the loaded candidate cur by op nb without
+// building it, so the explorer can score every direction and materialize
+// only the survivors. It leaves cur+nb's membership in c.probeSet and the
+// recomputed depths in c.scratch, which grow reads back. The derived
+// fields are maintained incrementally instead of from scratch:
 //
-//   - members/depths: nb is spliced into the ascending member list. Block
-//     order is topological, so members before the insertion point cannot
-//     depend on nb and keep their depths; members after it are recomputed
-//     only when nb actually feeds the set (userMask test), otherwise copied.
-//   - in: fused into the argUnion copy — popcount of (argUnion &^ set).
+//   - depths: block order is topological, so only members nb reaches can
+//     change depth, and only when nb feeds the set (userMask test); those
+//     are recomputed in block order. Depths never shrink, so the new
+//     latency is the max of cur's, nb's depth and the recomputed ones.
+//   - in: popcount of (argUnion | argVals[nb]) &^ set.
 //   - out: starts from cur.out; only nb and its in-set data predecessors
 //     can change output-ness, because adding nb alters "has a consumer
 //     outside the set" for exactly the ops nb consumes.
-func (c *blockCtx) grow(cur *workItem, nb int) *workItem {
-	w := c.alloc()
-	copy(w.set, cur.set)
-	w.set.set(nb)
-	copy(w.nbrUnion, cur.nbrUnion)
-	w.nbrUnion.orInto(c.nbrMask[nb])
-	w.area = cur.area + c.area[nb]
+func (c *blockCtx) probe(cur *workItem, nb int) growth {
+	set := c.probeSet
+	copy(set, cur.set)
+	set.set(nb)
+	g := growth{area: cur.area + c.area[nb]}
 
-	// argUnion and the input-port count in one pass. Register-value bits
-	// live above the op bits, so masking with set only clears op values
-	// produced inside the candidate.
-	in := 0
+	// Register-value bits live above the op bits, so masking with set only
+	// clears op values produced inside the candidate.
 	av := c.argVals[nb]
-	for i := range w.argUnion {
+	for i := range cur.argUnion {
 		u := cur.argUnion[i] | av[i]
-		w.argUnion[i] = u
-		if i < len(w.set) {
-			u &^= w.set[i]
+		if i < len(set) {
+			u &^= set[i]
 		}
-		in += bits.OnesCount64(u)
+		g.in += bits.OnesCount64(u)
 	}
-	w.in = in
 
-	// Members, depths, and internal latency.
-	ins := len(cur.members)
-	for k, m := range cur.members {
-		if nb < m {
-			ins = k
-			break
-		}
-	}
-	w.members = append(w.members[:0], cur.members[:ins]...)
-	w.depths = append(w.depths[:0], cur.depths[:ins]...)
-	lat := 0.0
-	for k := 0; k < ins; k++ {
-		c.scratch[cur.members[k]] = cur.depths[k]
-		if cur.depths[k] > lat {
-			lat = cur.depths[k]
-		}
-	}
-	best := 0.0
 	for _, p := range c.dataPreds[nb] {
-		if w.set.has(p) && c.scratch[p] > best {
-			best = c.scratch[p]
+		if cur.set.has(p) && c.depth[p] > g.depth {
+			g.depth = c.depth[p]
 		}
 	}
-	dnb := best + c.delay[nb]
-	c.scratch[nb] = dnb
-	w.members = append(w.members, nb)
-	w.depths = append(w.depths, dnb)
-	if dnb > lat {
-		lat = dnb
+	g.depth += c.delay[nb]
+	lat := cur.latency
+	if g.depth > lat {
+		lat = g.depth
 	}
-	if ins < len(cur.members) && c.userMask[nb].intersects(w.set) {
-		// nb feeds at least one member after it: recompute the suffix.
-		for k := ins; k < len(cur.members); k++ {
-			m := cur.members[k]
-			b := 0.0
-			for _, p := range c.dataPreds[m] {
-				if w.set.has(p) && c.scratch[p] > b {
-					b = c.scratch[p]
+	g.fed = c.userMask[nb].intersects(cur.set)
+	if g.fed {
+		reach := c.reach[nb]
+		for wi := nb >> 6; wi < len(reach); wi++ {
+			for word := reach[wi] & cur.set[wi]; word != 0; word &= word - 1 {
+				m := wi<<6 + bits.TrailingZeros64(word)
+				b := 0.0
+				for _, p := range c.dataPreds[m] {
+					var d float64
+					switch {
+					case p == nb:
+						d = g.depth
+					case !cur.set.has(p):
+						continue
+					case reach.has(p):
+						d = c.scratch[p] // recomputed earlier in this loop
+					default:
+						d = c.depth[p]
+					}
+					if d > b {
+						b = d
+					}
+				}
+				dm := b + c.delay[m]
+				c.scratch[m] = dm
+				if dm > lat {
+					lat = dm
 				}
 			}
-			dm := b + c.delay[m]
-			c.scratch[m] = dm
-			w.members = append(w.members, m)
-			w.depths = append(w.depths, dm)
-			if dm > lat {
-				lat = dm
-			}
-		}
-	} else {
-		for k := ins; k < len(cur.members); k++ {
-			w.members = append(w.members, cur.members[k])
-			w.depths = append(w.depths, cur.depths[k])
-			if cur.depths[k] > lat {
-				lat = cur.depths[k]
-			}
 		}
 	}
-	w.latency = lat
+	g.latency = lat
 
 	// Output ports: a data predecessor of nb inside the set loses its
 	// output-ness when nb was its last outside consumer; nb itself is an
 	// output when its value escapes or is consumed outside the set.
-	out := cur.out
+	g.out = cur.out
 	for _, p := range c.dataPreds[nb] {
-		if w.set.has(p) && !c.escapes[p] && c.userMask[p].andNotCount(w.set) == 0 {
-			out--
+		if set.has(p) && !c.escapes[p] && c.userMask[p].andNotCount(set) == 0 {
+			g.out--
 		}
 	}
-	if c.escapes[nb] || c.userMask[nb].andNotCount(w.set) > 0 {
-		out++
+	if c.escapes[nb] || c.userMask[nb].andNotCount(set) > 0 {
+		g.out++
 	}
-	w.out = out
+	return g
+}
+
+// grow returns cur extended with op nb: the probe's costs plus the
+// membership, member list, depths and unions a work item carries.
+func (c *blockCtx) grow(cur *workItem, nb int) *workItem {
+	c.load(cur)
+	g := c.probe(cur, nb)
+	w := c.alloc()
+	copy(w.set, c.probeSet)
+	copy(w.nbrUnion, cur.nbrUnion)
+	w.nbrUnion.orInto(c.nbrMask[nb])
+	av := c.argVals[nb]
+	for i := range w.argUnion {
+		w.argUnion[i] = cur.argUnion[i] | av[i]
+	}
+	ins, _ := slices.BinarySearch(cur.members, nb)
+	n := len(cur.members) + 1
+	w.members = append(append(append(slices.Grow(w.members[:0], n), cur.members[:ins]...), nb), cur.members[ins:]...)
+	w.depths = append(append(slices.Grow(w.depths[:0], n), cur.depths[:ins]...), g.depth)
+	reach := c.reach[nb]
+	for k, m := range cur.members[ins:] {
+		d := cur.depths[ins+k]
+		if g.fed && reach.has(m) {
+			d = c.scratch[m]
+		}
+		w.depths = append(w.depths, d)
+	}
+	w.area, w.latency, w.in, w.out = g.area, g.latency, g.in, g.out
 	return w
 }
 
@@ -774,19 +807,12 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 		res.Stats.VisitedCollisions += visited.collisions
 	}()
 
-	record := func(w *workItem) { recordCandidate(ctx, b, cfg, res, w) }
-
-	// push takes ownership of w: a duplicate is released back to the pool,
-	// a fresh subgraph is recorded and queued.
-	push := func(w *workItem) {
-		if !visited.insert(w.set) {
-			ctx.release(w)
-			return
-		}
+	// admit records and queues a subgraph the visited set has just taken.
+	admit := func(w *workItem) {
 		examined++
 		res.Stats.Examined++
 		res.Stats.BySize[len(w.members)]++
-		record(w)
+		recordCandidate(ctx, b, cfg, res, w)
 		queue = append(queue, w)
 	}
 
@@ -795,15 +821,28 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 			return
 		}
 		if ctx.allowed.has(i) {
-			push(ctx.seed(i))
+			w := ctx.seed(i)
+			visited.insert(w.set) // singletons are always new
+			admit(w)
 		}
 	}
 
-	type scored struct {
-		w     *workItem
+	// direction is one way to grow the popped candidate, with its guide
+	// score (0 when the guide is off).
+	type direction struct {
+		nb    int
 		score float64
 	}
-	accepted := make([]scored, 0, 64)
+	dirs := make([]direction, 0, 64)
+	byScore := func(a, b direction) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		}
+		return 0
+	}
 
 	for head < len(queue) && examined < maxExamined {
 		if bud.exhausted(res) {
@@ -835,7 +874,10 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 			continue
 		}
 
-		accepted = accepted[:0]
+		// Score every direction from a read-only probe; only the ones that
+		// pass the guide, the fanout cut and the visited test are built.
+		ctx.load(cur)
+		dirs = dirs[:0]
 		for wi, wd := range cur.nbrUnion {
 			if wi < len(cur.set) {
 				wd &^= cur.set[wi]
@@ -846,42 +888,45 @@ func exploreBlock(b *ir.Block, cfg Config, res *Result, bud *budget) {
 				if !ctx.allowed.has(nb) {
 					continue
 				}
-				grown := ctx.grow(cur, nb)
 				if cfg.Naive || cfg.CandidatePrune > 0 {
-					accepted = append(accepted, scored{grown, 0})
+					dirs = append(dirs, direction{nb, 0})
 					continue
 				}
+				g := ctx.probe(cur, nb)
 				var s float64
 				if uarch {
-					s = uarchScore(ctx, cur, grown, nb, weights, maxPorts)
+					s = uarchScore(ctx, cur, g, nb, weights, maxPorts)
 				} else {
-					s = guideScore(ctx, cur, grown, nb, weights)
+					s = guideScore(ctx, cur, g, nb, weights)
 				}
 				if s < threshold {
 					res.Stats.PrunedDirections++
-					ctx.release(grown)
 					continue
 				}
-				accepted = append(accepted, scored{grown, s})
+				dirs = append(dirs, direction{nb, s})
 			}
 		}
 		if !cfg.Naive && cfg.Fanout != nil {
-			if k := cfg.Fanout(len(cur.members), b.Weight); k > 0 && len(accepted) > k {
-				sort.Slice(accepted, func(a, b int) bool { return accepted[a].score > accepted[b].score })
-				res.Stats.PrunedDirections += len(accepted) - k
-				for _, a := range accepted[k:] {
-					ctx.release(a.w)
-				}
-				accepted = accepted[:k]
+			if k := cfg.Fanout(len(cur.members), b.Weight); k > 0 && len(dirs) > k {
+				// Not a stable sort: equal scores end in the order this
+				// pdqsort leaves them, which the digest golden pins.
+				slices.SortFunc(dirs, byScore)
+				res.Stats.PrunedDirections += len(dirs) - k
+				dirs = dirs[:k]
 			}
 		}
-		ctx.release(cur)
-		for _, a := range accepted {
-			push(a.w)
+		for _, d := range dirs {
+			copy(ctx.probeSet, cur.set)
+			ctx.probeSet.set(d.nb)
+			if !visited.insert(ctx.probeSet) {
+				continue
+			}
+			admit(ctx.grow(cur, d.nb))
 			if examined >= maxExamined {
 				return
 			}
 		}
+		ctx.release(cur)
 
 		if cfg.CandidatePrune > 0 {
 			live := pruneCandidates(ctx, queue[head:], b.Weight, cfg.CandidatePrune)
@@ -923,11 +968,11 @@ func recordCandidate(ctx *blockCtx, b *ir.Block, cfg Config, res *Result, w *wor
 	res.Stats.Recorded++
 }
 
-// guideScore ranks the desirability of having grown candidate cur into
-// grown by adding node nb. With uarch set (Config.CostModel == CostUarch)
+// guideScore ranks the desirability of growing candidate cur by node nb,
+// given the probed growth g. With uarch set (Config.CostModel == CostUarch)
 // the area and latency categories price microarchitectural fit instead of
 // die area: see uarchScore.
-func guideScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights) float64 {
+func guideScore(ctx *blockCtx, cur *workItem, g growth, nb int, w GuideWeights) float64 {
 	// Criticality: 10/(slack+1); nodes on the critical path score full.
 	crit := w.Criticality / float64(ctx.d.Slack[nb]+1)
 
@@ -936,18 +981,18 @@ func guideScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights) flo
 	// free shifter yields 0.15/(0.15+0)*10 = 10).
 	var lat float64
 	switch {
-	case grown.latency <= cur.latency+1e-9:
+	case g.latency <= cur.latency+1e-9:
 		lat = w.Latency
 	default:
-		lat = cur.latency / grown.latency * w.Latency
+		lat = cur.latency / g.latency * w.Latency
 	}
 
 	// Area: old/new * 10, with both rounded up to the nearest half adder
 	// so tiny seeds are not penalized unfairly.
-	area := hwlib.RoundHalf(cur.area) / hwlib.RoundHalf(grown.area) * w.Area
+	area := hwlib.RoundHalf(cur.area) / hwlib.RoundHalf(g.area) * w.Area
 
 	// I/O: MIN(oldPorts/newPorts*10, 10); reconvergence can reduce ports.
-	oldPorts, newPorts := cur.in+cur.out, grown.in+grown.out
+	oldPorts, newPorts := cur.in+cur.out, g.in+g.out
 	io := w.IO
 	if newPorts > 0 {
 		io = math.Min(float64(oldPorts)/float64(newPorts)*w.IO, w.IO)
@@ -964,22 +1009,22 @@ func guideScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights) flo
 // it costs a stage), and the area points become a register-port-fit score:
 // full while the grown candidate's total ports fit the machine's port
 // budget, shrinking proportionally as the demand overshoots it.
-func uarchScore(ctx *blockCtx, cur, grown *workItem, nb int, w GuideWeights, maxPorts int) float64 {
+func uarchScore(ctx *blockCtx, cur *workItem, g growth, nb int, w GuideWeights, maxPorts int) float64 {
 	crit := w.Criticality / float64(ctx.d.Slack[nb]+1)
 
 	oldStages := math.Max(1, math.Ceil(cur.latency))
-	newStages := math.Max(1, math.Ceil(grown.latency))
+	newStages := math.Max(1, math.Ceil(g.latency))
 	lat := w.Latency
 	if newStages > oldStages {
 		lat = oldStages / newStages * w.Latency
 	}
 
 	fit := w.Area
-	if ports := grown.in + grown.out; ports > maxPorts && ports > 0 {
+	if ports := g.in + g.out; ports > maxPorts && ports > 0 {
 		fit = float64(maxPorts) / float64(ports) * w.Area
 	}
 
-	oldPorts, newPorts := cur.in+cur.out, grown.in+grown.out
+	oldPorts, newPorts := cur.in+cur.out, g.in+g.out
 	io := w.IO
 	if newPorts > 0 {
 		io = math.Min(float64(oldPorts)/float64(newPorts)*w.IO, w.IO)

@@ -72,19 +72,7 @@ func TestParallelExploreDeterminism(t *testing.T) {
 func TestGrowReleaseAllocFree(t *testing.T) {
 	ctx := newBlockCtx(feistelBlock(10), hwlib.Default())
 	w := ctx.seed(0)
-	nb := -1
-	for wi, wd := range w.nbrUnion {
-		if wi < len(w.set) {
-			wd &^= w.set[wi]
-		}
-		if wd != 0 {
-			nb = wi<<6 + bits.TrailingZeros64(wd)
-			break
-		}
-	}
-	if nb < 0 {
-		t.Fatal("seed op has no neighbor to grow into")
-	}
+	nb := firstNeighbor(t, w)
 	for i := 0; i < 4; i++ { // warm the freelist and slice capacities
 		ctx.release(ctx.grow(w, nb))
 	}
@@ -93,6 +81,42 @@ func TestGrowReleaseAllocFree(t *testing.T) {
 	}); got > 0 {
 		t.Fatalf("grow+release allocates %.1f objects/op; want 0", got)
 	}
+}
+
+// TestProbeAllocFree checks that scoring a growth direction — done for
+// every direction, before the fanout cut and the visited test decide which
+// ones are built — never allocates.
+func TestProbeAllocFree(t *testing.T) {
+	ctx := newBlockCtx(feistelBlock(10), hwlib.Default())
+	w := ctx.grow(ctx.seed(0), firstNeighbor(t, ctx.seed(0)))
+	nb := firstNeighbor(t, w)
+	want := ctx.grow(w, nb)
+	ctx.load(w)
+	if got := testing.AllocsPerRun(200, func() {
+		ctx.probe(w, nb)
+	}); got > 0 {
+		t.Fatalf("probe allocates %.1f objects/op; want 0", got)
+	}
+	g := ctx.probe(w, nb)
+	if g.area != want.area || g.latency != want.latency || g.in != want.in || g.out != want.out {
+		t.Fatalf("probe %+v disagrees with grow (area %v latency %v in %d out %d)",
+			g, want.area, want.latency, want.in, want.out)
+	}
+}
+
+// firstNeighbor returns the lowest op adjacent to w but outside it.
+func firstNeighbor(t *testing.T, w *workItem) int {
+	t.Helper()
+	for wi, wd := range w.nbrUnion {
+		if wi < len(w.set) {
+			wd &^= w.set[wi]
+		}
+		if wd != 0 {
+			return wi<<6 + bits.TrailingZeros64(wd)
+		}
+	}
+	t.Fatal("candidate has no neighbor to grow into")
+	return -1
 }
 
 // TestVisitedDupInsertAllocFree checks that re-offering an already-visited

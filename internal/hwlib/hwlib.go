@@ -186,6 +186,10 @@ func DSP16() *Library {
 	return l
 }
 
+// SameClasses reports whether l and o assign every opcode the same
+// hardware class — all that wildcard discovery reads from a library.
+func (l *Library) SameClasses(o *Library) bool { return l.classes == o.classes }
+
 // Area implements ir.CostModel.
 func (l *Library) Area(c ir.Opcode) float64 { return l.entries[c].Area }
 
